@@ -165,6 +165,15 @@ fn parse_statement(
         }
         let n = parse_reg_size(rest.trim())
             .ok_or_else(|| QasmError::new(lineno, format!("bad qreg declaration {rest:?}")))?;
+        if !(1..=crate::bitstring::MAX_WIDTH).contains(&n) {
+            return Err(QasmError::new(
+                lineno,
+                format!(
+                    "qreg width {n} out of range (1..={})",
+                    crate::bitstring::MAX_WIDTH
+                ),
+            ));
+        }
         *circuit = Some(Circuit::new(n));
         return Ok(());
     }
@@ -369,12 +378,20 @@ mod tests {
             ("qreg q[2];\nx q[5];", "out of range"),
             ("qreg q[1];\nrx q[0];", "requires a parameter"),
             ("qreg q[1];\nqreg q[1];", "multiple qreg"),
+            ("qreg q[0];", "qreg width 0 out of range"),
+            ("qreg q[65];", "qreg width 65 out of range"),
             ("", "no qreg"),
         ];
         for (text, expect) in cases {
             let err = from_qasm(text).unwrap_err().to_string();
             assert!(err.contains(expect), "{text:?}: {err}");
         }
+    }
+
+    #[test]
+    fn widest_register_parses() {
+        let c = from_qasm("qreg q[64];\nx q[63];").unwrap();
+        assert_eq!(c.n_qubits(), 64);
     }
 
     #[test]

@@ -436,7 +436,6 @@ fn open(
     // for the OS SYN-retry window — minutes — which is exactly the hang
     // the read/write timeouts exist to prevent.
     let stream = fabric.dial(peer, timeout)?;
-    stream.set_nodelay(true).ok();
     stream.set_read_timeout(timeout)?;
     stream.set_write_timeout(timeout)?;
     Ok(stream)

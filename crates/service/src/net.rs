@@ -11,6 +11,12 @@
 //! writers, and duplicate deliveries hit *real* sockets on real code
 //! paths — deterministically, by arrival count.
 //!
+//! This module is also the one place that sets socket options at
+//! birth: every stream the fabric returns, dialed or accepted, faulted
+//! or not, has `TCP_NODELAY` set, so a response written while its
+//! predecessor is still unacknowledged leaves at once instead of
+//! waiting out Nagle's algorithm against the peer's delayed ACK.
+//!
 //! Naming convention (see [`NetFaultPlan`]): mesh members are `n0..nK`
 //! in cluster-index order, plain clients are `client`, and the reserved
 //! source name `in` labels inbound connections on the accept path
@@ -119,7 +125,7 @@ impl NetFabric {
     /// Dials `peer`, consulting the fault plan first: scripted refusals
     /// and active partitions fail as [`io::ErrorKind::ConnectionRefused`]
     /// before any packet moves, scripted delays sleep, and stream-level
-    /// faults arm the returned stream.
+    /// faults arm the returned stream. The stream has `TCP_NODELAY` set.
     ///
     /// # Errors
     ///
@@ -155,7 +161,9 @@ impl NetFabric {
     /// Delay and slow-write faults are *not* armed here: the accept path
     /// runs on the event loop, where a sleep would stall every
     /// connection; byte-level faults (drop, truncate, duplicate) apply.
+    /// An admitted stream has `TCP_NODELAY` set.
     pub fn wrap_accepted(&self, tcp: TcpStream) -> Option<NetStream> {
+        no_delay(&tcp);
         let plan = match &self.inner.plan {
             Some(plan) => plan,
             None => return Some(NetStream { tcp, faults: None }),
@@ -212,10 +220,20 @@ impl NetFabric {
 }
 
 fn connect_raw(peer: SocketAddr, timeout: Option<Duration>) -> io::Result<TcpStream> {
-    match timeout {
+    let tcp = match timeout {
         Some(t) => TcpStream::connect_timeout(&peer, t),
         None => TcpStream::connect(peer),
-    }
+    }?;
+    no_delay(&tcp);
+    Ok(tcp)
+}
+
+/// Turns off Nagle's algorithm. Every request and response here is one
+/// small newline-terminated frame, and a frame held back for the
+/// previous one's ACK waits out the peer's delayed-ACK timer. Failure is
+/// ignored: the stream still works, only slower.
+fn no_delay(tcp: &TcpStream) {
+    tcp.set_nodelay(true).ok();
 }
 
 /// Shared (reader/writer halves, via `try_clone`) fault state of one
@@ -313,15 +331,6 @@ impl NetStream {
     /// Propagates the socket option failure.
     pub fn set_write_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         self.tcp.set_write_timeout(dur)
-    }
-
-    /// See [`TcpStream::set_nodelay`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the socket option failure.
-    pub fn set_nodelay(&self, on: bool) -> io::Result<()> {
-        self.tcp.set_nodelay(on)
     }
 
     /// See [`TcpStream::set_nonblocking`].
@@ -639,6 +648,27 @@ mod tests {
         let f = s.faults.as_ref().expect("armed");
         assert!(f.slow_write.is_none(), "no sleeps on the event loop");
         assert_eq!(f.drop_after, Some(64));
+    }
+
+    #[test]
+    fn every_fabric_stream_has_nodelay_set() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let names = vec![(addr, "n1".to_string())];
+        let plan = Arc::new(NetFaultPlan::new(0));
+        for fabric in [NetFabric::direct(), NetFabric::new("n0", names, Some(plan))] {
+            let faulted = fabric.plan().is_some();
+            let dialed = fabric.dial(addr, Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(dialed.faults.is_some(), faulted);
+            assert!(dialed.tcp().nodelay().unwrap(), "dialed, faulted={faulted}");
+            let (raw, _) = listener.accept().unwrap();
+            let accepted = fabric.wrap_accepted(raw).unwrap();
+            assert_eq!(accepted.faults.is_some(), faulted);
+            assert!(
+                accepted.tcp().nodelay().unwrap(),
+                "accepted, faulted={faulted}"
+            );
+        }
     }
 
     #[test]

@@ -306,22 +306,25 @@ fn protocol_errors_over_the_wire() {
         }
         other => panic!("wrong response {other:?}"),
     }
-    let bad_qasm = Request::Submit(SubmitRequest {
-        device: "ibmqx4".into(),
-        qasm: "definitely not qasm".into(),
-        policy: PolicyKind::Baseline,
-        shots: 10,
-        seed: 1,
-        expected: None,
-        deadline_ms: None,
-        fwd: false,
-    });
-    match client.request(&bad_qasm).expect("response") {
-        Response::Error { code, message } => {
-            assert_eq!(code, 400);
-            assert!(message.contains("bad qasm"), "{message}");
+    // A register wider than any circuit is a typed 400, not a worker panic.
+    for qasm in ["definitely not qasm", "qreg q[65];\nx q[0];"] {
+        let bad_qasm = Request::Submit(SubmitRequest {
+            device: "ibmqx4".into(),
+            qasm: qasm.into(),
+            policy: PolicyKind::Baseline,
+            shots: 10,
+            seed: 1,
+            expected: None,
+            deadline_ms: None,
+            fwd: false,
+        });
+        match client.request(&bad_qasm).expect("response") {
+            Response::Error { code, message } => {
+                assert_eq!(code, 400, "{qasm:?}: {message}");
+                assert!(message.contains("bad qasm"), "{message}");
+            }
+            other => panic!("wrong response {other:?}"),
         }
-        other => panic!("wrong response {other:?}"),
     }
 
     shutdown(addr, handle);

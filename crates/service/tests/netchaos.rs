@@ -96,17 +96,32 @@ fn status_counters(addr: &str) -> qmetrics::CountersSnapshot {
     }
 }
 
+/// The method the server's own AIM path characterizes `device` with:
+/// brute force up to 5 qubits, AWCT above. A cold brute run on the
+/// 14-qubit melbourne is 16 384 basis states, long enough to outlast a
+/// client timeout on a loaded host.
+fn method_for(device: &str) -> MethodKind {
+    let width = qnoise::DeviceModel::by_name(device)
+        .expect("known device")
+        .n_qubits();
+    if width <= 5 {
+        MethodKind::Brute
+    } else {
+        MethodKind::Awct
+    }
+}
+
 fn characterize_req(device: &str) -> Request {
     Request::Characterize(invmeas_service::CharacterizeRequest {
         device: device.into(),
-        method: MethodKind::Brute,
+        method: method_for(device),
         shots: 0, // server default, identical on every node
         fwd: false,
     })
 }
 
 fn profile_file(dir: &Path, device: &str) -> PathBuf {
-    dir.join(format!("{device}-brute-w0.rbms"))
+    dir.join(format!("{device}-{}-w0.rbms", method_for(device).as_str()))
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -945,14 +960,18 @@ fn partitioned_owner_leaves_unaffected_devices_fast() {
             }
         }
         // Warm, then measure the unaffected device's worst latency.
-        match call(members[query].as_str(), &characterize_req(unaffected)).expect("warm") {
+        let warm = call(members[query].as_str(), &characterize_req(unaffected))
+            .unwrap_or_else(|e| panic!("warm {unaffected}: {e}"));
+        match warm {
             Response::Characterize(_) => {}
             other => panic!("wrong response {other:?}"),
         }
         let mut worst = Duration::ZERO;
         for _ in 0..30 {
             let t = Instant::now();
-            match call(members[query].as_str(), &characterize_req(unaffected)).expect("measure") {
+            let measured = call(members[query].as_str(), &characterize_req(unaffected))
+                .unwrap_or_else(|e| panic!("measure {unaffected}: {e}"));
+            match measured {
                 Response::Characterize(r) => {
                     assert_eq!(r.device, unaffected);
                 }
