@@ -7,111 +7,252 @@
 //! threads; [`ServiceCounters::snapshot`] captures a consistent-enough view
 //! for a status endpoint, and the snapshot renders as a [`Table`] for
 //! human consumption.
+//!
+//! Every counter is declared once, as one row of the `counters!` table
+//! below. A row names the snapshot field (which is
+//! also the key in the service's `status` wire object), the updater method
+//! and its kind, the [`WireTier`], and the rendered label. The macro
+//! generates the atomics, the updaters, [`ServiceCounters::snapshot`], the
+//! [`CountersSnapshot`] struct, and the [`COUNTERS`] table that the wire
+//! codec and [`CountersSnapshot::render`] walk. Adding a counter is one
+//! row plus its call site.
 
 use crate::table::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Monotonic counters and gauges for a request-serving process.
-///
-/// All updates are `Relaxed` atomics: the counters are statistics, not
-/// synchronization, and must never contend on the hot path.
-///
-/// # Examples
-///
-/// ```
-/// use qmetrics::ServiceCounters;
-///
-/// let c = ServiceCounters::new();
-/// c.inc_requests();
-/// c.inc_cache_miss();
-/// c.record_latency_us(1500);
-/// let snap = c.snapshot();
-/// assert_eq!(snap.requests, 1);
-/// assert_eq!(snap.cache_misses, 1);
-/// assert_eq!(snap.latency_max_us, 1500);
-/// ```
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    requests: AtomicU64,
-    jobs_executed: AtomicU64,
-    jobs_failed: AtomicU64,
-    busy_rejections: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    queue_depth_peak: AtomicU64,
-    latency_us_total: AtomicU64,
-    latency_us_max: AtomicU64,
-    faults_injected: AtomicU64,
-    retries: AtomicU64,
-    degraded_responses: AtomicU64,
-    deadline_expirations: AtomicU64,
-    connections_reaped: AtomicU64,
-    breaker_trips: AtomicU64,
-    journal_checkpoints: AtomicU64,
-    resumed_jobs: AtomicU64,
-    profiles_quarantined: AtomicU64,
-    invariant_clamps: AtomicU64,
-    pool_tasks: AtomicU64,
-    barrier_waits: AtomicU64,
-    arena_reuse_hits: AtomicU64,
-    epoll_wakeups: AtomicU64,
-    frames_parsed: AtomicU64,
-    write_backpressure_events: AtomicU64,
-    shard_depth_peak: AtomicU64,
-    queue_steals: AtomicU64,
-    forwards: AtomicU64,
-    replication_writes: AtomicU64,
-    failovers: AtomicU64,
-    heartbeats_missed: AtomicU64,
-    stale_map_retries: AtomicU64,
-    requests_shed: AtomicU64,
-    retry_budget_exhausted: AtomicU64,
-    peer_dials_suppressed: AtomicU64,
-    net_faults_injected: AtomicU64,
-    partitions_healed: AtomicU64,
+/// How a counter travels in the `status` wire object (protocol v1, whose
+/// rule is that fields are only ever added).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireTier {
+    /// In v1 since its first release: always emitted, and a status line
+    /// without it is rejected.
+    Required,
+    /// Added within v1: always emitted, and decoded as 0 when absent so
+    /// older peers still parse.
+    Defaulted,
+    /// Added with overload control and the fault fabric: emitted only
+    /// while nonzero (so older peers parse unchanged frames), and decoded
+    /// as 0 when absent.
+    OmitZero,
 }
 
-/// A point-in-time copy of a [`ServiceCounters`].
+/// One row of the counter table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // field names are the documentation
-pub struct CountersSnapshot {
-    pub requests: u64,
-    pub jobs_executed: u64,
-    pub jobs_failed: u64,
-    pub busy_rejections: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub queue_depth_peak: u64,
-    pub latency_total_us: u64,
-    pub latency_max_us: u64,
-    pub faults_injected: u64,
-    pub retries: u64,
-    pub degraded_responses: u64,
-    pub deadline_expirations: u64,
-    pub connections_reaped: u64,
-    pub breaker_trips: u64,
-    pub journal_checkpoints: u64,
-    pub resumed_jobs: u64,
-    pub profiles_quarantined: u64,
-    pub invariant_clamps: u64,
-    pub pool_tasks: u64,
-    pub barrier_waits: u64,
-    pub arena_reuse_hits: u64,
-    pub epoll_wakeups: u64,
-    pub frames_parsed: u64,
-    pub write_backpressure_events: u64,
-    pub shard_depth_peak: u64,
-    pub queue_steals: u64,
-    pub forwards: u64,
-    pub replication_writes: u64,
-    pub failovers: u64,
-    pub heartbeats_missed: u64,
-    pub stale_map_retries: u64,
-    pub requests_shed: u64,
-    pub retry_budget_exhausted: u64,
-    pub peer_dials_suppressed: u64,
-    pub net_faults_injected: u64,
-    pub partitions_healed: u64,
+pub struct CounterDef {
+    /// Snapshot field name, also the key in the `status` wire object.
+    pub key: &'static str,
+    /// Row label in [`CountersSnapshot::render`].
+    pub label: &'static str,
+    /// How the counter is encoded and decoded on the wire.
+    pub tier: WireTier,
+}
+
+impl CounterDef {
+    /// Whether a counter holding `value` is written to the wire.
+    pub fn emits(&self, value: u64) -> bool {
+        self.tier != WireTier::OmitZero || value > 0
+    }
+}
+
+/// Declares the counter table. Each row is
+/// `field: [pub] kind updater, WireTier, "label";` where `kind` is `inc`
+/// (add one), `add` (add n), `max` (keep the high-water mark), or `set`
+/// (publish a gauge owned elsewhere). Row doc comments document the
+/// updater.
+macro_rules! counters {
+    (@updater $(#[$doc:meta])* $vis:vis inc $method:ident $field:ident) => {
+        $(#[$doc])*
+        $vis fn $method(&self) {
+            self.$field.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    (@updater $(#[$doc:meta])* $vis:vis add $method:ident $field:ident) => {
+        $(#[$doc])*
+        $vis fn $method(&self, n: u64) {
+            if n > 0 {
+                self.$field.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    };
+    (@updater $(#[$doc:meta])* $vis:vis max $method:ident $field:ident) => {
+        $(#[$doc])*
+        $vis fn $method(&self, value: u64) {
+            self.$field.fetch_max(value, Ordering::Relaxed);
+        }
+    };
+    (@updater $(#[$doc:meta])* $vis:vis set $method:ident $field:ident) => {
+        $(#[$doc])*
+        $vis fn $method(&self, total: u64) {
+            self.$field.store(total, Ordering::Relaxed);
+        }
+    };
+    ($(
+        $(#[$doc:meta])*
+        $field:ident: $vis:vis $kind:ident $method:ident, $tier:ident, $label:literal;
+    )*) => {
+        /// Monotonic counters and gauges for a request-serving process.
+        ///
+        /// All updates are `Relaxed` atomics: the counters are statistics,
+        /// not synchronization, and must never contend on the hot path.
+        ///
+        /// # Examples
+        ///
+        /// ```
+        /// use qmetrics::ServiceCounters;
+        ///
+        /// let c = ServiceCounters::new();
+        /// c.inc_requests();
+        /// c.inc_cache_miss();
+        /// c.record_latency_us(1500);
+        /// let snap = c.snapshot();
+        /// assert_eq!(snap.requests, 1);
+        /// assert_eq!(snap.cache_misses, 1);
+        /// assert_eq!(snap.latency_max_us, 1500);
+        /// ```
+        #[derive(Debug, Default)]
+        pub struct ServiceCounters {
+            $($field: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of a [`ServiceCounters`].
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        #[allow(missing_docs)] // field names are the documentation
+        pub struct CountersSnapshot {
+            $(pub $field: u64,)*
+        }
+
+        /// Number of rows in [`COUNTERS`].
+        pub const COUNTER_COUNT: usize = [$(stringify!($field)),*].len();
+
+        /// The counter table, in wire order.
+        pub static COUNTERS: [CounterDef; COUNTER_COUNT] = [$(
+            CounterDef {
+                key: stringify!($field),
+                label: $label,
+                tier: WireTier::$tier,
+            },
+        )*];
+
+        impl ServiceCounters {
+            $(counters!(@updater $(#[$doc])* $vis $kind $method $field);)*
+
+            /// Captures the current values.
+            pub fn snapshot(&self) -> CountersSnapshot {
+                CountersSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl CountersSnapshot {
+            /// Every counter's value, in [`COUNTERS`] order.
+            pub fn values(&self) -> [u64; COUNTER_COUNT] {
+                [$(self.$field),*]
+            }
+
+            /// Every counter's slot, in [`COUNTERS`] order.
+            pub fn values_mut(&mut self) -> [&mut u64; COUNTER_COUNT] {
+                [$(&mut self.$field),*]
+            }
+        }
+    };
+}
+
+counters! {
+    /// Counts one received request (of any kind, accepted or rejected).
+    requests: pub inc inc_requests, Required, "requests";
+    /// Counts one job executed to completion by a worker.
+    jobs_executed: pub inc inc_jobs_executed, Required, "jobs executed";
+    /// Counts one job that reached a worker but failed.
+    jobs_failed: pub inc inc_jobs_failed, Required, "jobs failed";
+    /// Counts one request turned away because the queue was full.
+    busy_rejections: pub inc inc_busy_rejection, Required, "busy rejections";
+    /// Counts one profile served from cache.
+    cache_hits: pub inc inc_cache_hit, Required, "cache hits";
+    /// Counts one profile that had to be (re)measured.
+    cache_misses: pub inc inc_cache_miss, Required, "cache misses";
+    /// Records an observed queue depth, keeping the high-water mark.
+    queue_depth_peak: pub max observe_queue_depth, Required, "queue depth peak";
+    // The two latency rows update together, through `record_latency_us`.
+    latency_total_us: add add_latency_total, Required, "latency total (us)";
+    latency_max_us: max keep_latency_max, Required, "latency max (us)";
+    /// Publishes the fault-injection total (a gauge owned by the fault
+    /// plan, mirrored here so one snapshot carries everything).
+    faults_injected: pub set set_faults_injected, Defaulted, "faults injected";
+    /// Counts one retry of a transient characterization failure.
+    retries: pub inc inc_retry, Defaulted, "retries";
+    /// Counts one response served degraded (stale last-good profile).
+    degraded_responses: pub inc inc_degraded_response, Defaulted, "degraded responses";
+    /// Counts one job answered 504 because its deadline expired in queue.
+    deadline_expirations: pub inc inc_deadline_expiration, Defaulted, "deadline expirations";
+    /// Counts one idle or hung connection closed by the reaper.
+    connections_reaped: pub inc inc_connection_reaped, Defaulted, "connections reaped";
+    /// Counts one circuit breaker opening (failures or drift trips).
+    breaker_trips: pub inc inc_breaker_trip, Defaulted, "breaker trips";
+    /// Counts `n` characterization checkpoints appended to a journal.
+    journal_checkpoints: pub add add_journal_checkpoints, Defaulted, "journal checkpoints";
+    /// Counts one characterization job that resumed an in-flight journal
+    /// instead of starting from scratch.
+    resumed_jobs: pub inc inc_resumed_job, Defaulted, "resumed jobs";
+    /// Counts one damaged profile moved aside to a quarantine path.
+    profiles_quarantined: pub inc inc_profile_quarantined, Defaulted, "profiles quarantined";
+    /// Publishes the invariant-clamp total (a gauge owned by the core
+    /// validation ledger).
+    invariant_clamps: pub set set_invariant_clamps, Defaulted, "invariant clamps";
+    /// Publishes the simulator worker-pool task total (a gauge owned by
+    /// `qsim::pool`).
+    pool_tasks: pub set set_pool_tasks, Defaulted, "pool tasks";
+    /// Publishes the simulator barrier-episode total (a gauge owned by
+    /// `qsim::pool`).
+    barrier_waits: pub set set_barrier_waits, Defaulted, "barrier waits";
+    /// Publishes the statevector arena reuse total (a gauge owned by
+    /// `qsim::arena`).
+    arena_reuse_hits: pub set set_arena_reuse_hits, Defaulted, "arena reuse hits";
+    /// Counts one return from the event loop's readiness wait (an
+    /// `epoll_wait` wakeup, or its portable-fallback equivalent).
+    epoll_wakeups: pub inc inc_epoll_wakeup, Defaulted, "epoll wakeups";
+    /// Counts `n` newline-delimited frames extracted by the incremental
+    /// parser (including blank keep-alive frames).
+    frames_parsed: pub add add_frames_parsed, Defaulted, "frames parsed";
+    /// Counts one transition of a connection into write backpressure (the
+    /// socket refused bytes and the response stayed buffered until the
+    /// poller reported writability).
+    write_backpressure_events: pub inc inc_write_backpressure_event, Defaulted,
+        "write backpressure events";
+    /// Records an observed per-shard run-queue depth, keeping the
+    /// high-water mark across all shards.
+    shard_depth_peak: pub max observe_shard_depth, Defaulted, "shard depth peak";
+    /// Publishes the cross-shard work-steal total (a gauge owned by the
+    /// sharded run queue).
+    queue_steals: pub set set_queue_steals, Defaulted, "queue steals";
+    /// Counts one request forwarded to the owning node of its device.
+    forwards: pub inc inc_forward, Defaulted, "forwards";
+    /// Counts one profile or journal replica installed from a peer node.
+    replication_writes: pub inc inc_replication_write, Defaulted, "replication writes";
+    /// Counts one ownership takeover: this node served a device whose
+    /// owner was dead or unreachable.
+    failovers: pub inc inc_failover, Defaulted, "failovers";
+    /// Counts one heartbeat probe that went unanswered.
+    heartbeats_missed: pub inc inc_heartbeat_missed, Defaulted, "heartbeats missed";
+    /// Counts one request that arrived at a node which neither owns nor
+    /// follows the device — the sender routed on a stale cluster map.
+    stale_map_retries: pub inc inc_stale_map_retry, Defaulted, "stale map retries";
+    /// Counts one queued work job evicted by overload shedding to admit
+    /// newer work (the victim's deadline was already impossible).
+    requests_shed: pub inc inc_requests_shed, OmitZero, "requests shed";
+    /// Publishes the retry-budget denial total (a gauge owned by the
+    /// node's `RetryBudget`).
+    retry_budget_exhausted: pub set set_retry_budget_exhausted, OmitZero,
+        "retry budget exhausted";
+    /// Publishes the suppressed-dial total (a gauge owned by the per-peer
+    /// `DialGate`).
+    peer_dials_suppressed: pub set set_peer_dials_suppressed, OmitZero, "peer dials suppressed";
+    /// Publishes the network fault-injection total (a gauge owned by the
+    /// node's `NetFaultPlan`, distinct from the request-level fault total).
+    net_faults_injected: pub set set_net_faults_injected, OmitZero, "net faults injected";
+    /// Publishes the healed-partition total (a gauge owned by the node's
+    /// `NetFaultPlan`).
+    partitions_healed: pub set set_partitions_healed, OmitZero, "partitions healed";
 }
 
 impl ServiceCounters {
@@ -120,258 +261,20 @@ impl ServiceCounters {
         Self::default()
     }
 
-    /// Counts one received request (of any kind, accepted or rejected).
-    pub fn inc_requests(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job executed to completion by a worker.
-    pub fn inc_jobs_executed(&self) {
-        self.jobs_executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job that reached a worker but failed.
-    pub fn inc_jobs_failed(&self) {
-        self.jobs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request turned away because the queue was full.
-    pub fn inc_busy_rejection(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one profile served from cache.
-    pub fn inc_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one profile that had to be (re)measured.
-    pub fn inc_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an observed queue depth, keeping the high-water mark.
-    pub fn observe_queue_depth(&self, depth: u64) {
-        self.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records one request's end-to-end latency in microseconds.
+    /// Records one request's end-to-end latency in microseconds: adds it
+    /// to the running total and keeps the maximum.
     pub fn record_latency_us(&self, us: u64) {
-        self.latency_us_total.fetch_add(us, Ordering::Relaxed);
-        self.latency_us_max.fetch_max(us, Ordering::Relaxed);
-    }
-
-    /// Publishes the fault-injection total (a gauge owned by the fault
-    /// plan, mirrored here so one snapshot carries everything).
-    pub fn set_faults_injected(&self, total: u64) {
-        self.faults_injected.store(total, Ordering::Relaxed);
-    }
-
-    /// Counts one retry of a transient characterization failure.
-    pub fn inc_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one response served degraded (stale last-good profile).
-    pub fn inc_degraded_response(&self) {
-        self.degraded_responses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one job answered 504 because its deadline expired in queue.
-    pub fn inc_deadline_expiration(&self) {
-        self.deadline_expirations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one idle or hung connection closed by the reaper.
-    pub fn inc_connection_reaped(&self) {
-        self.connections_reaped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one circuit breaker opening (failures or drift trips).
-    pub fn inc_breaker_trip(&self) {
-        self.breaker_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` characterization checkpoints appended to a journal.
-    pub fn add_journal_checkpoints(&self, n: u64) {
-        if n > 0 {
-            self.journal_checkpoints.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one characterization job that resumed an in-flight journal
-    /// instead of starting from scratch.
-    pub fn inc_resumed_job(&self) {
-        self.resumed_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one damaged profile moved aside to a quarantine path.
-    pub fn inc_profile_quarantined(&self) {
-        self.profiles_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the invariant-clamp total (a gauge owned by the core
-    /// validation ledger, mirrored here like the fault-injection total).
-    pub fn set_invariant_clamps(&self, total: u64) {
-        self.invariant_clamps.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the simulator worker-pool task total (a gauge owned by
-    /// `qsim::pool`, mirrored here so one snapshot carries everything).
-    pub fn set_pool_tasks(&self, total: u64) {
-        self.pool_tasks.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the simulator barrier-episode total (a gauge owned by
-    /// `qsim::pool`).
-    pub fn set_barrier_waits(&self, total: u64) {
-        self.barrier_waits.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the statevector arena reuse total (a gauge owned by
-    /// `qsim::arena`).
-    pub fn set_arena_reuse_hits(&self, total: u64) {
-        self.arena_reuse_hits.store(total, Ordering::Relaxed);
-    }
-
-    /// Counts one return from the event loop's readiness wait (an
-    /// `epoll_wait` wakeup, or its portable-fallback equivalent).
-    pub fn inc_epoll_wakeup(&self) {
-        self.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` newline-delimited frames extracted by the incremental
-    /// parser (including blank keep-alive frames).
-    pub fn add_frames_parsed(&self, n: u64) {
-        if n > 0 {
-            self.frames_parsed.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one transition of a connection into write backpressure (the
-    /// socket refused bytes and the response stayed buffered until the
-    /// poller reported writability).
-    pub fn inc_write_backpressure_event(&self) {
-        self.write_backpressure_events
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an observed per-shard run-queue depth, keeping the
-    /// high-water mark across all shards.
-    pub fn observe_shard_depth(&self, depth: u64) {
-        self.shard_depth_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Publishes the cross-shard work-steal total (a gauge owned by the
-    /// sharded run queue, mirrored here like the fault-injection total).
-    pub fn set_queue_steals(&self, total: u64) {
-        self.queue_steals.store(total, Ordering::Relaxed);
-    }
-
-    /// Counts one request forwarded to the owning node of its device.
-    pub fn inc_forward(&self) {
-        self.forwards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one profile or journal replica installed from a peer node.
-    pub fn inc_replication_write(&self) {
-        self.replication_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one ownership takeover: this node served a device whose
-    /// owner was dead or unreachable.
-    pub fn inc_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one heartbeat probe that went unanswered.
-    pub fn inc_heartbeat_missed(&self) {
-        self.heartbeats_missed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request that arrived at a node which neither owns nor
-    /// follows the device — the sender routed on a stale cluster map.
-    pub fn inc_stale_map_retry(&self) {
-        self.stale_map_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one queued work job evicted by overload shedding to admit
-    /// newer work (the victim's deadline was already impossible).
-    pub fn inc_requests_shed(&self) {
-        self.requests_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the retry-budget denial total (a gauge owned by the
-    /// node's `RetryBudget`, mirrored here like the fault-injection
-    /// total).
-    pub fn set_retry_budget_exhausted(&self, total: u64) {
-        self.retry_budget_exhausted.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the suppressed-dial total (a gauge owned by the
-    /// per-peer `DialGate`).
-    pub fn set_peer_dials_suppressed(&self, total: u64) {
-        self.peer_dials_suppressed.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the network fault-injection total (a gauge owned by the
-    /// node's `NetFaultPlan`, distinct from the request-level
-    /// `faults_injected`).
-    pub fn set_net_faults_injected(&self, total: u64) {
-        self.net_faults_injected.store(total, Ordering::Relaxed);
-    }
-
-    /// Publishes the healed-partition total (a gauge owned by the node's
-    /// `NetFaultPlan`).
-    pub fn set_partitions_healed(&self, total: u64) {
-        self.partitions_healed.store(total, Ordering::Relaxed);
-    }
-
-    /// Captures the current values.
-    pub fn snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-            jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            queue_depth_peak: self.queue_depth_peak.load(Ordering::Relaxed),
-            latency_total_us: self.latency_us_total.load(Ordering::Relaxed),
-            latency_max_us: self.latency_us_max.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            degraded_responses: self.degraded_responses.load(Ordering::Relaxed),
-            deadline_expirations: self.deadline_expirations.load(Ordering::Relaxed),
-            connections_reaped: self.connections_reaped.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            journal_checkpoints: self.journal_checkpoints.load(Ordering::Relaxed),
-            resumed_jobs: self.resumed_jobs.load(Ordering::Relaxed),
-            profiles_quarantined: self.profiles_quarantined.load(Ordering::Relaxed),
-            invariant_clamps: self.invariant_clamps.load(Ordering::Relaxed),
-            pool_tasks: self.pool_tasks.load(Ordering::Relaxed),
-            barrier_waits: self.barrier_waits.load(Ordering::Relaxed),
-            arena_reuse_hits: self.arena_reuse_hits.load(Ordering::Relaxed),
-            epoll_wakeups: self.epoll_wakeups.load(Ordering::Relaxed),
-            frames_parsed: self.frames_parsed.load(Ordering::Relaxed),
-            write_backpressure_events: self.write_backpressure_events.load(Ordering::Relaxed),
-            shard_depth_peak: self.shard_depth_peak.load(Ordering::Relaxed),
-            queue_steals: self.queue_steals.load(Ordering::Relaxed),
-            forwards: self.forwards.load(Ordering::Relaxed),
-            replication_writes: self.replication_writes.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            heartbeats_missed: self.heartbeats_missed.load(Ordering::Relaxed),
-            stale_map_retries: self.stale_map_retries.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            retry_budget_exhausted: self.retry_budget_exhausted.load(Ordering::Relaxed),
-            peer_dials_suppressed: self.peer_dials_suppressed.load(Ordering::Relaxed),
-            net_faults_injected: self.net_faults_injected.load(Ordering::Relaxed),
-            partitions_healed: self.partitions_healed.load(Ordering::Relaxed),
-        }
+        self.add_latency_total(us);
+        self.keep_latency_max(us);
     }
 }
 
 impl CountersSnapshot {
+    /// Every counter with its table row, in wire order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static CounterDef, u64)> {
+        COUNTERS.iter().zip(self.values())
+    }
+
     /// Mean per-job latency in microseconds (0 when nothing ran).
     pub fn latency_mean_us(&self) -> u64 {
         let jobs = self.jobs_executed + self.jobs_failed;
@@ -388,71 +291,27 @@ impl CountersSnapshot {
         }
     }
 
-    /// Renders the snapshot as a two-column table.
+    /// Renders the snapshot as a two-column table: every counter in table
+    /// order, then the two derived rows.
     pub fn render(&self) -> Table {
         let mut t = Table::new(&["counter", "value"]);
-        let rows: [(&str, String); 39] = [
-            ("requests", self.requests.to_string()),
-            ("jobs executed", self.jobs_executed.to_string()),
-            ("jobs failed", self.jobs_failed.to_string()),
-            ("busy rejections", self.busy_rejections.to_string()),
-            ("cache hits", self.cache_hits.to_string()),
-            ("cache misses", self.cache_misses.to_string()),
-            ("cache hit rate", format!("{:.3}", self.cache_hit_rate())),
-            ("queue depth peak", self.queue_depth_peak.to_string()),
-            ("latency mean (us)", self.latency_mean_us().to_string()),
-            ("latency max (us)", self.latency_max_us.to_string()),
-            ("latency total (us)", self.latency_total_us.to_string()),
-            ("faults injected", self.faults_injected.to_string()),
-            ("retries", self.retries.to_string()),
-            ("degraded responses", self.degraded_responses.to_string()),
-            (
-                "deadline expirations",
-                self.deadline_expirations.to_string(),
-            ),
-            ("connections reaped", self.connections_reaped.to_string()),
-            ("breaker trips", self.breaker_trips.to_string()),
-            ("journal checkpoints", self.journal_checkpoints.to_string()),
-            ("resumed jobs", self.resumed_jobs.to_string()),
-            (
-                "profiles quarantined",
-                self.profiles_quarantined.to_string(),
-            ),
-            ("invariant clamps", self.invariant_clamps.to_string()),
-            ("pool tasks", self.pool_tasks.to_string()),
-            ("barrier waits", self.barrier_waits.to_string()),
-            ("arena reuse hits", self.arena_reuse_hits.to_string()),
-            ("epoll wakeups", self.epoll_wakeups.to_string()),
-            ("frames parsed", self.frames_parsed.to_string()),
-            (
-                "write backpressure events",
-                self.write_backpressure_events.to_string(),
-            ),
-            ("shard depth peak", self.shard_depth_peak.to_string()),
-            ("queue steals", self.queue_steals.to_string()),
-            ("forwards", self.forwards.to_string()),
-            ("replication writes", self.replication_writes.to_string()),
-            ("failovers", self.failovers.to_string()),
-            ("heartbeats missed", self.heartbeats_missed.to_string()),
-            ("stale map retries", self.stale_map_retries.to_string()),
-            ("requests shed", self.requests_shed.to_string()),
-            (
-                "retry budget exhausted",
-                self.retry_budget_exhausted.to_string(),
-            ),
-            (
-                "peer dials suppressed",
-                self.peer_dials_suppressed.to_string(),
-            ),
-            ("net faults injected", self.net_faults_injected.to_string()),
-            ("partitions healed", self.partitions_healed.to_string()),
-        ];
-        for (k, v) in rows {
-            t.row_owned(vec![k.to_string(), v]);
+        for (def, value) in self.iter() {
+            t.row_owned(vec![def.label.to_string(), value.to_string()]);
         }
+        t.row_owned(vec![
+            DERIVED_LABELS[0].to_string(),
+            format!("{:.3}", self.cache_hit_rate()),
+        ]);
+        t.row_owned(vec![
+            DERIVED_LABELS[1].to_string(),
+            self.latency_mean_us().to_string(),
+        ]);
         t
     }
 }
+
+/// Labels of the rows [`CountersSnapshot::render`] derives from others.
+const DERIVED_LABELS: [&str; 2] = ["cache hit rate", "latency mean (us)"];
 
 #[cfg(test)]
 mod tests {
@@ -519,44 +378,35 @@ mod tests {
         c.set_partitions_healed(1);
 
         let s = c.snapshot();
-        assert_eq!(s.requests, 3);
-        assert_eq!(s.jobs_executed, 2);
-        assert_eq!(s.jobs_failed, 1);
-        assert_eq!(s.busy_rejections, 1);
-        assert_eq!(s.cache_hits, 3);
-        assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.queue_depth_peak, 7);
-        assert_eq!(s.latency_max_us, 500);
+        // In table order: the 9 required counters, the 23 defaulted ones,
+        // then the omitted-while-zero ones.
+        let expected = [
+            3, 2, 1, 1, 3, 1, 7, 900, 500, //
+            4, 2, 1, 1, 1, 1, 5, 1, 1, 3, 12, 34, 56, 2, 6, 1, 9, 11, 2, 1, 1, 3, 1, //
+            2, 7, 4, 9, 1,
+        ];
+        assert_eq!(s.values()[..expected.len()], expected);
         assert_eq!(s.latency_mean_us(), 900 / 3);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(s.faults_injected, 4);
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.degraded_responses, 1);
-        assert_eq!(s.deadline_expirations, 1);
-        assert_eq!(s.connections_reaped, 1);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.journal_checkpoints, 5);
-        assert_eq!(s.resumed_jobs, 1);
-        assert_eq!(s.profiles_quarantined, 1);
-        assert_eq!(s.invariant_clamps, 3);
-        assert_eq!(s.pool_tasks, 12);
-        assert_eq!(s.barrier_waits, 34);
-        assert_eq!(s.arena_reuse_hits, 56);
-        assert_eq!(s.epoll_wakeups, 2);
-        assert_eq!(s.frames_parsed, 6);
-        assert_eq!(s.write_backpressure_events, 1);
-        assert_eq!(s.shard_depth_peak, 9);
-        assert_eq!(s.queue_steals, 11);
-        assert_eq!(s.forwards, 2);
-        assert_eq!(s.replication_writes, 1);
-        assert_eq!(s.failovers, 1);
-        assert_eq!(s.heartbeats_missed, 3);
-        assert_eq!(s.stale_map_retries, 1);
-        assert_eq!(s.requests_shed, 2);
-        assert_eq!(s.retry_budget_exhausted, 7);
-        assert_eq!(s.peer_dials_suppressed, 4);
-        assert_eq!(s.net_faults_injected, 9);
-        assert_eq!(s.partitions_healed, 1);
+    }
+
+    #[test]
+    fn table_tiers_follow_the_wire_rule() {
+        // v1 only ever adds fields: its first 9 keys are required, the
+        // next 23 defaulted, and every later one is omitted while zero.
+        for (i, def) in COUNTERS.iter().enumerate() {
+            let tier = match i {
+                0..=8 => WireTier::Required,
+                9..=31 => WireTier::Defaulted,
+                _ => WireTier::OmitZero,
+            };
+            assert_eq!(def.tier, tier, "{}", def.key);
+        }
+        let mut labels: Vec<&str> = COUNTERS.iter().map(|d| d.label).collect();
+        labels.extend(DERIVED_LABELS);
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), COUNTER_COUNT + DERIVED_LABELS.len());
     }
 
     #[test]
@@ -590,42 +440,25 @@ mod tests {
 
     #[test]
     fn render_includes_every_counter() {
-        let text = ServiceCounters::new().snapshot().render().to_string();
-        for key in [
-            "requests",
-            "cache hit rate",
-            "busy rejections",
-            "latency max",
-            "faults injected",
-            "retries",
-            "degraded responses",
-            "deadline expirations",
-            "connections reaped",
-            "breaker trips",
-            "journal checkpoints",
-            "resumed jobs",
-            "profiles quarantined",
-            "invariant clamps",
-            "pool tasks",
-            "barrier waits",
-            "arena reuse hits",
-            "epoll wakeups",
-            "frames parsed",
-            "write backpressure events",
-            "shard depth peak",
-            "queue steals",
-            "forwards",
-            "replication writes",
-            "failovers",
-            "heartbeats missed",
-            "stale map retries",
-            "requests shed",
-            "retry budget exhausted",
-            "peer dials suppressed",
-            "net faults injected",
-            "partitions healed",
-        ] {
-            assert!(text.contains(key), "{key} missing from:\n{text}");
+        let mut snap = CountersSnapshot::default();
+        for (i, slot) in snap.values_mut().into_iter().enumerate() {
+            *slot = 1000 + i as u64;
+        }
+        let text = snap.render().to_string();
+        // Header, rule, one row per counter, and the derived rows.
+        assert_eq!(
+            text.lines().count(),
+            2 + COUNTER_COUNT + DERIVED_LABELS.len()
+        );
+        for (def, value) in snap.iter() {
+            let row = text
+                .lines()
+                .find(|l| l.starts_with(&format!("{} ", def.label)))
+                .unwrap_or_else(|| panic!("{} missing from:\n{text}", def.label));
+            assert!(row.trim_end().ends_with(&value.to_string()), "{row}");
+        }
+        for label in DERIVED_LABELS {
+            assert!(text.contains(label), "{label} missing from:\n{text}");
         }
     }
 }

@@ -201,11 +201,21 @@ fn parse_statement(
         .collect::<Option<Vec<_>>>()
         .ok_or_else(|| QasmError::new(lineno, format!("bad qubit operands {args:?}")))?;
     let theta = || -> Result<f64, QasmError> {
-        params
+        let angle = params
             .ok_or_else(|| QasmError::new(lineno, format!("{name} requires a parameter")))?
             .trim()
             .parse::<f64>()
-            .map_err(|_| QasmError::new(lineno, format!("bad angle in {stmt:?}")))
+            .map_err(|_| QasmError::new(lineno, format!("bad angle in {stmt:?}")))?;
+        // NaN or an infinite angle (`1e400` overflows to one) would turn
+        // every Born probability into NaN.
+        if angle.is_finite() {
+            Ok(angle)
+        } else {
+            Err(QasmError::new(
+                lineno,
+                format!("non-finite angle in {stmt:?}"),
+            ))
+        }
     };
     let one = |qubits: &[usize]| -> Result<usize, QasmError> {
         if qubits.len() == 1 {
@@ -215,10 +225,13 @@ fn parse_statement(
         }
     };
     let two = |qubits: &[usize]| -> Result<(usize, usize), QasmError> {
-        if qubits.len() == 2 {
-            Ok((qubits[0], qubits[1]))
-        } else {
-            Err(QasmError::new(lineno, format!("{name} takes two qubits")))
+        match *qubits {
+            [a, b] if a != b => Ok((a, b)),
+            [_, _] => Err(QasmError::new(
+                lineno,
+                format!("{name} uses the same qubit twice"),
+            )),
+            _ => Err(QasmError::new(lineno, format!("{name} takes two qubits"))),
         }
     };
     let gate = match name {
@@ -380,6 +393,20 @@ mod tests {
             ("qreg q[1];\nqreg q[1];", "multiple qreg"),
             ("qreg q[0];", "qreg width 0 out of range"),
             ("qreg q[65];", "qreg width 65 out of range"),
+            ("qreg q[2];\ncx q[0],q[0];", "cx uses the same qubit twice"),
+            ("qreg q[2];\ncz q[1],q[1];", "cz uses the same qubit twice"),
+            (
+                "qreg q[2];\nswap q[1],q[1];",
+                "swap uses the same qubit twice",
+            ),
+            (
+                "qreg q[2];\nrzz(0.5) q[0],q[0];",
+                "rzz uses the same qubit twice",
+            ),
+            ("qreg q[1];\nrx(NaN) q[0];", "non-finite angle"),
+            ("qreg q[1];\nrz(inf) q[0];", "non-finite angle"),
+            ("qreg q[1];\np(1e400) q[0];", "non-finite angle"),
+            ("qreg q[1];\nry(-inf) q[0];", "non-finite angle"),
             ("", "no qreg"),
         ];
         for (text, expect) in cases {

@@ -3,7 +3,7 @@
 //!
 //! [`NetFabric`] is the single dial/accept choke point for the client,
 //! peer calls, heartbeat probes, forwarding, replication, profile
-//! fetches, and both server front ends. In production it is
+//! fetches, and the server's front end. In production it is
 //! [`NetFabric::direct`] — a zero-overhead pass-through whose streams
 //! cost one `Option` check per I/O call. Under chaos it carries an
 //! [`Arc<NetFaultPlan>`] and returns [`NetStream`]s armed with

@@ -28,6 +28,7 @@
 //! speak with a `400` error naming the supported version.
 
 use crate::json::Json;
+use qmetrics::WireTier;
 use std::fmt;
 
 /// The protocol version this build speaks.
@@ -666,57 +667,14 @@ impl Response {
                 pairs.push(("queue_depth", Json::int(r.queue_depth)));
                 pairs.push(("queue_capacity", Json::int(r.queue_capacity)));
                 pairs.push(("draining", Json::Bool(r.draining)));
-                let mut counter_pairs = vec![
-                    ("requests", Json::int(c.requests)),
-                    ("jobs_executed", Json::int(c.jobs_executed)),
-                    ("jobs_failed", Json::int(c.jobs_failed)),
-                    ("busy_rejections", Json::int(c.busy_rejections)),
-                    ("cache_hits", Json::int(c.cache_hits)),
-                    ("cache_misses", Json::int(c.cache_misses)),
-                    ("queue_depth_peak", Json::int(c.queue_depth_peak)),
-                    ("latency_total_us", Json::int(c.latency_total_us)),
-                    ("latency_max_us", Json::int(c.latency_max_us)),
-                    ("faults_injected", Json::int(c.faults_injected)),
-                    ("retries", Json::int(c.retries)),
-                    ("degraded_responses", Json::int(c.degraded_responses)),
-                    ("deadline_expirations", Json::int(c.deadline_expirations)),
-                    ("connections_reaped", Json::int(c.connections_reaped)),
-                    ("breaker_trips", Json::int(c.breaker_trips)),
-                    ("journal_checkpoints", Json::int(c.journal_checkpoints)),
-                    ("resumed_jobs", Json::int(c.resumed_jobs)),
-                    ("profiles_quarantined", Json::int(c.profiles_quarantined)),
-                    ("invariant_clamps", Json::int(c.invariant_clamps)),
-                    ("pool_tasks", Json::int(c.pool_tasks)),
-                    ("barrier_waits", Json::int(c.barrier_waits)),
-                    ("arena_reuse_hits", Json::int(c.arena_reuse_hits)),
-                    ("epoll_wakeups", Json::int(c.epoll_wakeups)),
-                    ("frames_parsed", Json::int(c.frames_parsed)),
-                    (
-                        "write_backpressure_events",
-                        Json::int(c.write_backpressure_events),
-                    ),
-                    ("shard_depth_peak", Json::int(c.shard_depth_peak)),
-                    ("queue_steals", Json::int(c.queue_steals)),
-                    ("forwards", Json::int(c.forwards)),
-                    ("replication_writes", Json::int(c.replication_writes)),
-                    ("failovers", Json::int(c.failovers)),
-                    ("heartbeats_missed", Json::int(c.heartbeats_missed)),
-                    ("stale_map_retries", Json::int(c.stale_map_retries)),
-                ];
-                // Overload/net-fault counters are additive v1 fields:
-                // omitted when zero so pre-fabric peers parse unchanged
-                // frames (same compatibility scheme as `fwd`).
-                for (key, value) in [
-                    ("requests_shed", c.requests_shed),
-                    ("retry_budget_exhausted", c.retry_budget_exhausted),
-                    ("peer_dials_suppressed", c.peer_dials_suppressed),
-                    ("net_faults_injected", c.net_faults_injected),
-                    ("partitions_healed", c.partitions_healed),
-                ] {
-                    if value > 0 {
-                        counter_pairs.push((key, Json::int(value)));
-                    }
-                }
+                // The wire rule for each counter lives in its table row
+                // (`qmetrics::COUNTERS`): omit-when-zero keys stay off the
+                // wire until they count something.
+                let counter_pairs = c
+                    .iter()
+                    .filter(|(def, value)| def.emits(*value))
+                    .map(|(def, value)| (def.key, Json::int(value)))
+                    .collect();
                 pairs.push(("counters", Json::obj(counter_pairs)));
             }
             Response::Window { window } => {
@@ -851,48 +809,15 @@ impl Response {
                 let c = v
                     .get("counters")
                     .ok_or_else(|| ProtocolError::new("status response missing counters"))?;
-                let counters = qmetrics::CountersSnapshot {
-                    requests: require_u64(c, "requests")?,
-                    jobs_executed: require_u64(c, "jobs_executed")?,
-                    jobs_failed: require_u64(c, "jobs_failed")?,
-                    busy_rejections: require_u64(c, "busy_rejections")?,
-                    cache_hits: require_u64(c, "cache_hits")?,
-                    cache_misses: require_u64(c, "cache_misses")?,
-                    queue_depth_peak: require_u64(c, "queue_depth_peak")?,
-                    latency_total_us: require_u64(c, "latency_total_us")?,
-                    latency_max_us: require_u64(c, "latency_max_us")?,
-                    // Resilience counters postdate v1's first release;
-                    // default to 0 so older peers still parse.
-                    faults_injected: opt_u64(c, "faults_injected")?.unwrap_or(0),
-                    retries: opt_u64(c, "retries")?.unwrap_or(0),
-                    degraded_responses: opt_u64(c, "degraded_responses")?.unwrap_or(0),
-                    deadline_expirations: opt_u64(c, "deadline_expirations")?.unwrap_or(0),
-                    connections_reaped: opt_u64(c, "connections_reaped")?.unwrap_or(0),
-                    breaker_trips: opt_u64(c, "breaker_trips")?.unwrap_or(0),
-                    journal_checkpoints: opt_u64(c, "journal_checkpoints")?.unwrap_or(0),
-                    resumed_jobs: opt_u64(c, "resumed_jobs")?.unwrap_or(0),
-                    profiles_quarantined: opt_u64(c, "profiles_quarantined")?.unwrap_or(0),
-                    invariant_clamps: opt_u64(c, "invariant_clamps")?.unwrap_or(0),
-                    pool_tasks: opt_u64(c, "pool_tasks")?.unwrap_or(0),
-                    barrier_waits: opt_u64(c, "barrier_waits")?.unwrap_or(0),
-                    arena_reuse_hits: opt_u64(c, "arena_reuse_hits")?.unwrap_or(0),
-                    epoll_wakeups: opt_u64(c, "epoll_wakeups")?.unwrap_or(0),
-                    frames_parsed: opt_u64(c, "frames_parsed")?.unwrap_or(0),
-                    write_backpressure_events: opt_u64(c, "write_backpressure_events")?
-                        .unwrap_or(0),
-                    shard_depth_peak: opt_u64(c, "shard_depth_peak")?.unwrap_or(0),
-                    queue_steals: opt_u64(c, "queue_steals")?.unwrap_or(0),
-                    forwards: opt_u64(c, "forwards")?.unwrap_or(0),
-                    replication_writes: opt_u64(c, "replication_writes")?.unwrap_or(0),
-                    failovers: opt_u64(c, "failovers")?.unwrap_or(0),
-                    heartbeats_missed: opt_u64(c, "heartbeats_missed")?.unwrap_or(0),
-                    stale_map_retries: opt_u64(c, "stale_map_retries")?.unwrap_or(0),
-                    requests_shed: opt_u64(c, "requests_shed")?.unwrap_or(0),
-                    retry_budget_exhausted: opt_u64(c, "retry_budget_exhausted")?.unwrap_or(0),
-                    peer_dials_suppressed: opt_u64(c, "peer_dials_suppressed")?.unwrap_or(0),
-                    net_faults_injected: opt_u64(c, "net_faults_injected")?.unwrap_or(0),
-                    partitions_healed: opt_u64(c, "partitions_healed")?.unwrap_or(0),
-                };
+                let mut counters = qmetrics::CountersSnapshot::default();
+                for (def, slot) in qmetrics::COUNTERS.iter().zip(counters.values_mut()) {
+                    *slot = match def.tier {
+                        WireTier::Required => require_u64(c, def.key)?,
+                        WireTier::Defaulted | WireTier::OmitZero => {
+                            opt_u64(c, def.key)?.unwrap_or(0)
+                        }
+                    };
+                }
                 Ok(Response::Status(StatusResponse {
                     window: require_u64(&v, "window")?,
                     workers: require_u64(&v, "workers")?,
@@ -1177,6 +1102,16 @@ mod tests {
         }
     }
 
+    /// Every counter holds a distinct value taken from its table index, so
+    /// a decoder that swaps two keys fails the roundtrip.
+    fn distinct_counters() -> qmetrics::CountersSnapshot {
+        let mut c = qmetrics::CountersSnapshot::default();
+        for (i, slot) in c.values_mut().into_iter().enumerate() {
+            *slot = 100 + i as u64;
+        }
+        c
+    }
+
     #[test]
     fn responses_roundtrip() {
         let cases = vec![
@@ -1225,45 +1160,7 @@ mod tests {
                 queue_depth: 1,
                 queue_capacity: 32,
                 draining: false,
-                counters: qmetrics::CountersSnapshot {
-                    requests: 10,
-                    jobs_executed: 8,
-                    jobs_failed: 0,
-                    busy_rejections: 1,
-                    cache_hits: 7,
-                    cache_misses: 1,
-                    queue_depth_peak: 3,
-                    latency_total_us: 5000,
-                    latency_max_us: 900,
-                    faults_injected: 2,
-                    retries: 3,
-                    degraded_responses: 1,
-                    deadline_expirations: 1,
-                    connections_reaped: 2,
-                    breaker_trips: 1,
-                    journal_checkpoints: 12,
-                    resumed_jobs: 1,
-                    profiles_quarantined: 1,
-                    invariant_clamps: 4,
-                    pool_tasks: 64,
-                    barrier_waits: 17,
-                    arena_reuse_hits: 9,
-                    epoll_wakeups: 41,
-                    frames_parsed: 12,
-                    write_backpressure_events: 2,
-                    shard_depth_peak: 3,
-                    queue_steals: 5,
-                    forwards: 4,
-                    replication_writes: 6,
-                    failovers: 1,
-                    heartbeats_missed: 2,
-                    stale_map_retries: 1,
-                    requests_shed: 3,
-                    retry_budget_exhausted: 2,
-                    peer_dials_suppressed: 5,
-                    net_faults_injected: 7,
-                    partitions_healed: 1,
-                },
+                counters: distinct_counters(),
             }),
             Response::ClusterMap(ClusterMapResponse {
                 members: vec![

@@ -306,8 +306,18 @@ fn protocol_errors_over_the_wire() {
         }
         other => panic!("wrong response {other:?}"),
     }
-    // A register wider than any circuit is a typed 400, not a worker panic.
-    for qasm in ["definitely not qasm", "qreg q[65];\nx q[0];"] {
+    // A register wider than any circuit, a two-qubit gate on one qubit,
+    // and a non-finite angle are each a typed 400, not a worker panic.
+    for qasm in [
+        "definitely not qasm",
+        "qreg q[65];\nx q[0];",
+        "qreg q[5];\ncx q[0],q[0];",
+        "qreg q[5];\nswap q[1],q[1];",
+        "qreg q[5];\nrzz(0.5) q[2],q[2];",
+        "qreg q[5];\nrx(NaN) q[0];",
+        "qreg q[5];\nrz(inf) q[0];",
+        "qreg q[5];\np(1e400) q[0];",
+    ] {
         let bad_qasm = Request::Submit(SubmitRequest {
             device: "ibmqx4".into(),
             qasm: qasm.into(),
